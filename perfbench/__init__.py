@@ -1,0 +1,3 @@
+"""The monitor's benchmark: seeded workloads, end-to-end metrics and an
+outside-in per-layer trace.  Run it with ``python3 perfbench/run.py``
+(see perfbench/README.md)."""
