@@ -35,20 +35,23 @@ class CommunicationStatistics:
     def __init__(self, trace, matcher=None):
         self.trace = trace
         self.matcher = matcher or trace.matcher()
-        self.per_process = {}
+        self.per_process = per_process = {}
         for event in trace:
-            stats = self.per_process.setdefault(
-                event.process, ProcessStats(event.process)
-            )
-            stats.event_counts[event.event] += 1
+            stats = per_process.get(event.process)
+            if stats is None:
+                stats = per_process[event.process] = ProcessStats(
+                    event.process
+                )
+            kind = event.event
+            stats.event_counts[kind] += 1
             stats.cpu_ms = max(stats.cpu_ms, event.proc_time)
-            if event.event == "send":
+            if kind == "send":
                 stats.bytes_sent += event.msg_length
                 stats.messages_sent += 1
-            elif event.event == "receive":
+            elif kind == "receive":
                 stats.bytes_received += event.msg_length
                 stats.messages_received += 1
-            elif event.event == "socket":
+            elif kind == "socket":
                 stats.sockets_created += 1
         #: (sender process, receiver process) -> [message count, bytes]
         self.pair_traffic = defaultdict(lambda: [0, 0])

@@ -8,31 +8,23 @@ class Event:
 
     A process is identified by ``(machine, pid)``: pids are only unique
     per machine (Section 3.5.1), and sockets ("sock") only unique
-    within a machine (Section 4.1).
+    within a machine (Section 4.1).  The identity fields are read from
+    the record once, at construction; every event of one process in a
+    :class:`Trace` shares a single ``process`` tuple.
     """
 
-    __slots__ = ("record", "index", "proc_seq")
+    __slots__ = ("record", "index", "proc_seq", "event", "machine", "pid",
+                 "process")
 
-    def __init__(self, record, index):
+    def __init__(self, record, index, process=None):
         self.record = record
         self.index = index  # position in the trace file
         self.proc_seq = None  # position within the process, set by Trace
-
-    @property
-    def event(self):
-        return self.record.get("event")
-
-    @property
-    def machine(self):
-        return self.record.get("machine")
-
-    @property
-    def pid(self):
-        return self.record.get("pid")
-
-    @property
-    def process(self):
-        return (self.machine, self.pid)
+        self.event = record.get("event")
+        if process is None:
+            process = (record.get("machine"), record.get("pid"))
+        self.process = process
+        self.machine, self.pid = process
 
     @property
     def local_time(self):
@@ -79,14 +71,24 @@ class Trace:
     """
 
     def __init__(self, records):
-        self.events = [Event(record, i) for i, record in enumerate(records)]
-        self._by_process = {}
-        self._by_type = {}
-        for event in self.events:
-            seq = self._by_process.setdefault(event.process, [])
+        self.events = events = []
+        self._by_process = by_process = {}
+        self._by_type = by_type = {}
+        for index, record in enumerate(records):
+            process = (record.get("machine"), record.get("pid"))
+            seq = by_process.get(process)
+            if seq is None:
+                seq = by_process[process] = []
+            else:
+                process = seq[0].process  # one shared tuple per process
+            event = Event(record, index, process)
             event.proc_seq = len(seq)
             seq.append(event)
-            self._by_type.setdefault(event.event, []).append(event)
+            kind = by_type.get(event.event)
+            if kind is None:
+                kind = by_type[event.event] = []
+            kind.append(event)
+            events.append(event)
         self._machines = None
         self._matcher = None
 

@@ -15,19 +15,24 @@ Equivalence with the batch pass: component ``i`` of a clock counts the
 events of the ``i``-th process (first-appearance order, identical to
 ``Trace.processes()``) that happen before or at the event, and the
 event's own component is forced to ``proc_seq + 1`` after the merge --
-exactly ``HappensBefore._clocks``.  Clocks are dicts holding only
-nonzero components, so they are also independent of how many processes
-eventually appear.
+exactly ``HappensBefore._clocks``.  Clocks are lists that end at
+their last nonzero component (a resolved clock ends at its own
+component or at a longer predecessor's last one), so they are also
+independent of how many processes eventually appear.
 """
 
 from collections import OrderedDict, deque
 
 
 def merge_clock(acc, other):
-    """Componentwise max of ``other`` into ``acc`` (both sparse dicts)."""
-    for component, value in other.items():
-        if value > acc.get(component, 0):
+    """Componentwise max of ``other`` into ``acc`` (lists; a missing
+    component is zero, and ``acc`` grows to ``other``'s length)."""
+    known = len(acc)
+    for component, value in zip(range(known), other):
+        if value > acc[component]:
             acc[component] = value
+    if known < len(other):
+        acc.extend(other[known:])
 
 
 class _Node:
@@ -37,7 +42,7 @@ class _Node:
 
     def __init__(self, event):
         self.event = event
-        self.acc = {}  # merged clocks of already-resolved predecessors
+        self.acc = []  # merged clocks of already-resolved predecessors
         self.wait = 0  # unresolved predecessors
         self.open = False  # matcher may still add send dependencies
         self.succ = None  # nodes waiting on this clock (lazy list)
@@ -64,8 +69,6 @@ class OnlineVectorClocks:
         self._unresolved = {}  # id(node) -> node, for finalize sweeps
         self.pending = 0
         self.resolved = 0
-        #: process -> clock of its most recently *resolved* event.
-        self.frontier = {}
         self._history_len = int(history)
         self._history = OrderedDict()  # (machine, pid, proc_seq) -> clock
 
@@ -87,7 +90,7 @@ class OnlineVectorClocks:
         prev = self._last.get(event.process)
         if prev is not None:
             if prev.clock is not None:
-                merge_clock(node.acc, prev.clock)
+                node.acc = list(prev.clock)
             else:
                 node.wait += 1
                 if prev.succ is None:
@@ -106,12 +109,20 @@ class OnlineVectorClocks:
         if send_node is node or node.clock is not None:
             return
         if send_node.clock is not None:
-            merge_clock(node.acc, send_node.clock)
+            self._absorb(node, send_node.clock)
         else:
             node.wait += 1
             if send_node.succ is None:
                 send_node.succ = []
             send_node.succ.append(node)
+
+    @staticmethod
+    def _absorb(node, clock):
+        """Merge a resolved predecessor's clock into ``node``'s."""
+        if node.acc:
+            merge_clock(node.acc, clock)
+        else:
+            node.acc = list(clock)
 
     def close(self, node):
         """The matcher declares all of ``node``'s send deps added."""
@@ -133,13 +144,15 @@ class OnlineVectorClocks:
     def _resolve(self, node):
         event = node.event
         clock = node.acc
-        clock[self.proc_index[event.process]] = event.proc_seq + 1
+        own = self.proc_index[event.process]
+        if own >= len(clock):
+            clock.extend([0] * (own + 1 - len(clock)))
+        clock[own] = event.proc_seq + 1
         node.clock = clock
         node.acc = None
         del self._unresolved[id(node)]
         self.pending -= 1
         self.resolved += 1
-        self.frontier[event.process] = clock
         history = self._history
         history[(event.machine, event.pid, event.proc_seq)] = clock
         if len(history) > self._history_len:
@@ -152,7 +165,7 @@ class OnlineVectorClocks:
             for later in succ:
                 if later.clock is not None:
                     continue
-                merge_clock(later.acc, clock)
+                self._absorb(later, clock)
                 later.wait -= 1
                 if later.wait == 0 and not later.open:
                     self._ready.append(later)
@@ -173,7 +186,7 @@ class OnlineVectorClocks:
     # -- queries -------------------------------------------------------
 
     def clock_of(self, machine, pid, proc_seq):
-        """The (sparse) clock of one event, or None if it has not yet
+        """The clock (a list) of one event, or None if it has not yet
         resolved or has left the history window."""
         return self._history.get((machine, pid, proc_seq))
 
@@ -189,9 +202,9 @@ class OnlineVectorClocks:
         if clock_b is None:
             return None
         component = self.proc_index.get((a[0], a[1]))
-        if component is None:
+        if component is None or component >= len(clock_b):
             return False
-        return clock_b.get(component, 0) >= a[2] + 1
+        return clock_b[component] >= a[2] + 1
 
     def state_size(self):
         """In-flight state only: the bounded history is excluded so

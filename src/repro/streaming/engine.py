@@ -7,16 +7,26 @@ log through a fresh engine must reproduce its state bit for bit.  That
 replay is the post-mortem twin (:mod:`repro.streaming.twins`), and the
 equality is this subsystem's correctness oracle.
 
-Digests are order-independent (a commutative sum of scrambled CRCs):
-the online clock fold resolves events in dependency order, the batch
-pass in Kahn order, and both must hash to the same value.
+Digests are order-independent: each resolved clock and each matched
+pair becomes a tuple of ints, and a digest is the commutative sum (mod
+2**64) of those tuples' scrambled hashes.  The online clock fold
+resolves events in dependency order, the batch pass in Kahn order, and
+both must hash to the same value.  A clock item is ``(machine, pid,
+proc_seq, (c0, c1, ..., ck))``, the clock's components in component
+order up to its last nonzero one; a pair item is ``(send machine, pid,
+proc_seq, receive machine, pid, proc_seq, nbytes)``.  Python's hash of
+a tuple of ints does not depend on ``PYTHONHASHSEED``, so a digest is
+the same in every process of one build; a missing machine or pid is
+hashed as :data:`MISSING_ID`.  The hash may change between Python
+versions, and digests from builds before this definition are not
+comparable with these: compare digests from one build only.
 """
 
 import json
 import zlib
 
 from repro.streaming.clocks import OnlineVectorClocks
-from repro.streaming.matching import OnlineMatcher
+from repro.streaming.matching import OnlineMatcher, host_of
 from repro.streaming.queries import make_query
 from repro.streaming.windows import WindowedStats
 
@@ -35,15 +45,43 @@ _STATE_SAMPLE = 256
 
 _DIGEST_MOD = 1 << 64
 
+#: What a missing machine or pid (None) counts as in a digest item.
+#: ``hash(None)`` differs between processes before Python 3.12.
+MISSING_ID = -1
+
+
+def digest_id(value):
+    """A machine or pid as a digest item field: ints stand for
+    themselves, None for :data:`MISSING_ID`, and anything else (a
+    damaged record) for the CRC of its repr, so an item's hash never
+    depends on the process that computes it."""
+    if type(value) is int:
+        return value
+    if value is None:
+        return MISSING_ID
+    return zlib.crc32(repr(value).encode("utf-8"))
+
 
 def digest_add(acc, item):
-    """Fold ``item`` into an order-independent 64-bit digest.
+    """Fold ``item`` (a tuple of ints and tuples of ints) into an
+    order-independent 64-bit digest.
 
     Commutative (a modular sum), so the emission order of clocks and
     pairs -- which legitimately differs between the online fold and the
     batch pass -- cannot affect the result."""
-    crc = zlib.crc32(repr(item).encode("utf-8"))
-    return (acc + (crc + 1) * 2654435761) % _DIGEST_MOD
+    return (acc + (hash(item) % _DIGEST_MOD + 1) * 2654435761) % _DIGEST_MOD
+
+
+class _Process:
+    """What the engine keeps per process: the one ``(machine, pid)``
+    tuple its events share, its event count and its digest ids."""
+
+    __slots__ = ("key", "seq", "digest_ids")
+
+    def __init__(self, key):
+        self.key = key
+        self.seq = 0
+        self.digest_ids = (digest_id(key[0]), digest_id(key[1]))
 
 
 class StreamEvent:
@@ -54,6 +92,7 @@ class StreamEvent:
         "index",
         "machine",
         "pid",
+        "process",
         "proc_seq",
         "event",
         "time",
@@ -61,7 +100,9 @@ class StreamEvent:
         "sock",
         "length",
         "dest",
+        "dest_host",
         "source",
+        "source_host",
         "sock_name",
         "peer_name",
         "new_sock",
@@ -70,11 +111,13 @@ class StreamEvent:
         "matched",
     )
 
-    def __init__(self, record, index, proc_seq):
+    def __init__(self, record, index, proc_seq, process=None):
         self.record = record
         self.index = index
-        self.machine = record.get("machine")
-        self.pid = record.get("pid")
+        if process is None:
+            process = (record.get("machine"), record.get("pid"))
+        self.process = process
+        self.machine, self.pid = process
         self.proc_seq = proc_seq
         self.event = record.get("event")
         self.time = record.get("cpuTime", 0)
@@ -82,17 +125,15 @@ class StreamEvent:
         self.sock = record.get("sock")
         self.length = record.get("msgLength", 0) or 0
         self.dest = record.get("destName") or None
+        self.dest_host = host_of(self.dest)
         self.source = record.get("sourceName") or None
+        self.source_host = host_of(self.source)
         self.sock_name = record.get("sockName") or None
         self.peer_name = record.get("peerName") or None
         self.new_sock = record.get("newSock")
         self.node = None
         self.in_matching = False
         self.matched = False
-
-    @property
-    def process(self):
-        return (self.machine, self.pid)
 
     def __repr__(self):
         return "StreamEvent({0}, {1}@m{2}, t={3})".format(
@@ -120,7 +161,7 @@ class StreamEngine:
         self.on_firing = None  # optional callback, e.g. live printing
         self.records = 0
         self.watermark = 0.0
-        self._proc_seq = {}
+        self._processes = {}  # (machine, pid) -> _Process
         self.clock_digest = 0
         self.pairs_digest = 0
         self.peak_state = 0
@@ -131,10 +172,12 @@ class StreamEngine:
 
     def update(self, record):
         """Consume one committed record."""
-        process = (record.get("machine"), record.get("pid"))
-        proc_seq = self._proc_seq.get(process, 0)
-        self._proc_seq[process] = proc_seq + 1
-        event = StreamEvent(record, self.records, proc_seq)
+        key = (record.get("machine"), record.get("pid"))
+        process = self._processes.get(key)
+        if process is None:
+            process = self._processes[key] = _Process(key)
+        event = StreamEvent(record, self.records, process.seq, process.key)
+        process.seq += 1
         self.records += 1
         if event.time > self.watermark:
             self.watermark = event.time
@@ -181,10 +224,10 @@ class StreamEngine:
     # -- fold plumbing -------------------------------------------------
 
     def _clock_resolved(self, event, clock):
-        sparse = tuple(sorted(clock.items()))
         self.clock_digest = digest_add(
             self.clock_digest,
-            ("clk", event.machine, event.pid, event.proc_seq, sparse),
+            (*self._processes[event.process].digest_ids, event.proc_seq,
+             tuple(clock)),
         )
 
     def _paired(self, send, recv, nbytes):
@@ -197,18 +240,11 @@ class StreamEngine:
         recv.matched = True
         if send.node is not None and recv.node is not None:
             self.clocks.add_dep(recv.node, send.node)
+        processes = self._processes
         self.pairs_digest = digest_add(
             self.pairs_digest,
-            (
-                "pair",
-                send.machine,
-                send.pid,
-                send.proc_seq,
-                recv.machine,
-                recv.pid,
-                recv.proc_seq,
-                nbytes,
-            ),
+            (*processes[send.process].digest_ids, send.proc_seq,
+             *processes[recv.process].digest_ids, recv.proc_seq, nbytes),
         )
         self.windows.on_pair(send, recv, nbytes, self.watermark)
         if self.queries:
@@ -289,7 +325,7 @@ class StreamEngine:
             "size": self.state_size(),
             "peak": self.peak_state,
             "clocks_pending": self.clocks.pending,
-            "outstanding_sends": len(self.matcher.pending_send_events()),
+            "outstanding_sends": self.matcher.outstanding,
         }
         snap["queries"] = [q.describe() for q in self.queries.values()]
         snap["firings_buffered"] = len(self.firings)

@@ -20,7 +20,14 @@ order records reach the fold:
   receives that have arrived; if none fit it goes pending and retries
   (in send-arrival order) as receives arrive.  Because FIFO position
   equals arrival order, the first compatible receive in the full queue
-  is claimed exactly when both sides exist.
+  is claimed exactly when both sides exist.  Pending sends are indexed
+  by length and a receive retries only the sends of its own length:
+  a send only ever claims a receive of its length, and learning a host
+  can only narrow what a send may claim (its queue shrinks from the
+  bare-length one to a by-machine one, and a receive whose source
+  becomes known to be another machine drops out).  So a send that
+  failed can succeed again only once a new receive of its length has
+  arrived, and a single new receive is claimed by at most one send.
 
 Known divergence corners, documented rather than papered over (the
 equivalence tests and benchmark avoid them; DESIGN 13 discusses them):
@@ -33,15 +40,17 @@ registers it are treated as outside stream matching (program order
 makes this impossible for the endpoint's own process).
 """
 
+import sys
 from collections import defaultdict, deque
 
 
-def _host_of(display_name):
+def host_of(display_name):
     """Literal host of an "inet:host:port" display name, else None.
     (Same rule as repro.analysis.matching, which streaming must not
-    import: that package pulls in the heavy analysis dependencies.)"""
+    import: that package pulls in the heavy analysis dependencies.)
+    Interned: events keep their hosts, and share one string per host."""
     if display_name and display_name.startswith("inet:"):
-        return display_name.split(":")[1]
+        return sys.intern(display_name.split(":")[1])
     return None
 
 
@@ -69,8 +78,10 @@ class _Direction:
                     matcher.on_pair(event, recv, overlap)
             if s1 > self.recv_off:
                 self.spans.append((s0, s1, event))
+                matcher.state += 1
         waiting = self.waiting
         while waiting and waiting[0][1] <= s1:
+            matcher.state -= 1
             matcher.on_recv_done(waiting.popleft()[2])
 
     def add_recv(self, event, matcher):
@@ -80,6 +91,7 @@ class _Direction:
         spans = self.spans
         while spans and spans[0][1] <= r0:
             spans.popleft()
+            matcher.state -= 1
         for s0, s1, send in spans:
             if s0 >= r1:
                 break
@@ -88,13 +100,12 @@ class _Direction:
                 matcher.on_pair(send, event, overlap)
         while spans and spans[0][1] <= r1:
             spans.popleft()
+            matcher.state -= 1
         if r1 <= self.send_off:
             matcher.on_recv_done(event)
         else:
             self.waiting.append((r0, r1, event))
-
-    def state_size(self):
-        return len(self.spans) + len(self.waiting)
+            matcher.state += 1
 
 
 class _Endpoint:
@@ -144,8 +155,7 @@ class _DgramQueue:
             cell = items[i]
             if cell[1]:
                 continue
-            recv = cell[0]
-            src_host = _host_of(recv.source)
+            src_host = cell[0].source_host
             src_id = host_ids.get(src_host) if src_host else None
             if src_id is None or src_id == send_machine:
                 return cell
@@ -163,6 +173,10 @@ class OnlineMatcher:
     once per receive routed into matching, when no further send can
     pair with it -- the signal the clock fold needs to seal a receive's
     dependency list.
+
+    ``state`` counts the in-flight entries as they come and go:
+    pending sends, traffic buffered on unpaired endpoints, stream spans
+    and waiting receives, and unconsumed datagram receives.
     """
 
     def __init__(self, on_pair, on_recv_done):
@@ -175,7 +189,10 @@ class OnlineMatcher:
         self._connections = []  # (dir_i2a, dir_a2i)
         self._by_mlen = defaultdict(_DgramQueue)  # (machine, length)
         self._by_len = defaultdict(_DgramQueue)
-        self._pending_sends = deque()  # cells [send event, matched]
+        #: length -> cells [send event, matched], in send-arrival order
+        self._pending = defaultdict(deque)
+        self.outstanding = 0  # pending sends not (yet) matched
+        self.state = 0
         self.pairs = 0
         self.unmatched_recvs = 0  # known only after finalize
         self.finalized = False
@@ -189,7 +206,9 @@ class OnlineMatcher:
                 event.in_matching = True
                 cell = [event, False]
                 if not self._try_claim(cell):
-                    self._pending_sends.append(cell)
+                    self._pending[event.length].append(cell)
+                    self.outstanding += 1
+                    self.state += 1
                 return
             state = self._endpoints.get((event.machine, event.sock))
             if state is None:
@@ -199,6 +218,7 @@ class OnlineMatcher:
                 state.dir_out.add_send(event, self)
             else:
                 state.pre.append(("send", event))
+                self.state += 1
         elif kind == "receive":
             event.in_matching = True
             state = self._endpoints.get((event.machine, event.sock))
@@ -208,6 +228,7 @@ class OnlineMatcher:
                 state.dir_in.add_recv(event, self)
             else:
                 state.pre.append(("recv", event))
+                self.state += 1
         elif kind == "connect":
             self._register_host(event.sock_name, event.machine)
             self._open_endpoint(
@@ -228,7 +249,7 @@ class OnlineMatcher:
     # -- connections ---------------------------------------------------
 
     def _register_host(self, sock_name, machine):
-        host = _host_of(sock_name)
+        host = host_of(sock_name)
         if host is not None and host not in self.host_ids:
             self.host_ids[host] = machine
 
@@ -258,6 +279,7 @@ class OnlineMatcher:
         # and its receives from the other.
         for state in (initiator, acceptor):
             buffered, state.pre = state.pre, []
+            self.state -= len(buffered)
             for which, event in buffered:
                 if which == "send":
                     state.dir_out.add_send(event, self)
@@ -266,16 +288,21 @@ class OnlineMatcher:
 
     # -- datagrams -----------------------------------------------------
 
-    def _dgram_recv(self, event):
+    def _add_dgram_recv(self, event):
         cell = [event, False]
         self._by_mlen[(event.machine, event.length)].append(cell)
         self._by_len[event.length].append(cell)
-        if self._pending_sends:
-            self._drain_pending()
+        self.state += 1
+
+    def _dgram_recv(self, event):
+        self._add_dgram_recv(event)
+        pending = self._pending.get(event.length)
+        if pending:
+            self._rotate(pending)
 
     def _try_claim(self, cell):
         send = cell[0]
-        dest_id = self.host_ids.get(_host_of(send.dest))
+        dest_id = self.host_ids.get(send.dest_host)
         if dest_id is not None:
             queue = self._by_mlen.get((dest_id, send.length))
         else:
@@ -289,23 +316,39 @@ class OnlineMatcher:
             return False
         found[1] = True
         cell[1] = True
+        self.state -= 1
         recv = found[0]
-        src_host = _host_of(recv.source)
+        src_host = recv.source_host
         if src_host is not None:
             self.host_ids.setdefault(src_host, send.machine)
         self.on_pair(send, recv, min(send.length, recv.length))
         self.on_recv_done(recv)
         return True
 
-    def _drain_pending(self):
-        """Retry pending sends in arrival order (a stable rotation)."""
-        pending = self._pending_sends
+    def _rotate(self, pending):
+        """Retry the sends of ``pending`` in arrival order (a stable
+        rotation); claimed ones leave it."""
         for __ in range(len(pending)):
             cell = pending.popleft()
-            if cell[1]:
-                continue
-            if not self._try_claim(cell):
+            if self._try_claim(cell):
+                self.outstanding -= 1
+                self.state -= 1
+            else:
                 pending.append(cell)
+
+    def _drain_pending(self):
+        """Retry every pending send, all lengths, in arrival order:
+        several receives may have arrived at once (finalize), and then
+        which send claims first matters across lengths too."""
+        cells = sorted(
+            (cell for queue in self._pending.values() for cell in queue),
+            key=lambda cell: cell[0].index,
+        )
+        self._pending.clear()
+        pending = deque(cells)
+        self._rotate(pending)
+        for cell in pending:
+            self._pending[cell[0].length].append(cell)
 
     # -- end of stream -------------------------------------------------
 
@@ -325,19 +368,19 @@ class OnlineMatcher:
             if state.paired:
                 continue
             buffered, state.pre = state.pre, []
+            self.state -= len(buffered)
             for which, event in buffered:
                 if which != "recv":
                     continue
                 if state.origin == "connect":
-                    cell = [event, False]
-                    self._by_mlen[(event.machine, event.length)].append(cell)
-                    self._by_len[event.length].append(cell)
+                    self._add_dgram_recv(event)
                 else:
                     self.on_recv_done(event)
         self._drain_pending()
         for dir_i2a, dir_a2i in self._connections:
             for direction in (dir_i2a, dir_a2i):
                 while direction.waiting:
+                    self.state -= 1
                     self.on_recv_done(direction.waiting.popleft()[2])
         for queue in self._by_mlen.values():
             for recv in queue.unconsumed():
@@ -347,17 +390,12 @@ class OnlineMatcher:
     # -- inspection ----------------------------------------------------
 
     def pending_send_events(self):
-        """Sends routed into matching but not (yet) matched."""
-        return [cell[0] for cell in self._pending_sends if not cell[1]]
+        """Sends routed into matching but not (yet) matched, in arrival
+        order."""
+        return sorted(
+            (cell[0] for queue in self._pending.values() for cell in queue),
+            key=lambda event: event.index,
+        )
 
     def state_size(self):
-        size = sum(1 for cell in self._pending_sends if not cell[1])
-        for state in self._endpoints.values():
-            size += len(state.pre)
-        for dir_i2a, dir_a2i in self._connections:
-            size += dir_i2a.state_size() + dir_a2i.state_size()
-        for queue in self._by_mlen.values():
-            size += sum(
-                1 for cell in queue.items[queue.head:] if not cell[1]
-            )
-        return size
+        return self.state

@@ -20,7 +20,7 @@ analysis stack's heavy dependencies.
 
 import json
 
-from repro.streaming.engine import StreamEngine, digest_add
+from repro.streaming.engine import StreamEngine, digest_add, digest_id
 
 
 def replay_engine(records, window_ms=None, specs=None):
@@ -52,53 +52,53 @@ def replay_store(reader, window_ms=None, specs=None, salvage=False):
     )
 
 
+def _digest_ids(trace):
+    """process -> its (machine, pid) digest ids, as the engine keys
+    its digest items."""
+    return {
+        process: (digest_id(process[0]), digest_id(process[1]))
+        for process in trace.processes()
+    }
+
+
 def batch_clock_digest(trace):
     """Digest the batch HappensBefore clocks exactly as the online fold
-    digests its own: sparse (nonzero-component) clocks, commutative."""
+    digests its own: each clock up to its last nonzero component (the
+    online clocks never hold components past it), commutative."""
     from repro.analysis.ordering import HappensBefore
 
+    ids = _digest_ids(trace)
     ordering = HappensBefore(trace)
     digest = 0
     for event in trace:
         clock = ordering.vector_clock(event)
-        sparse = tuple(
-            (component, value)
-            for component, value in enumerate(clock)
-            if value
-        )
+        end = len(clock)
+        while end and not clock[end - 1]:
+            end -= 1
         digest = digest_add(
             digest,
-            ("clk", event.machine, event.pid, event.proc_seq, sparse),
+            (*ids[event.process], event.proc_seq, clock[:end]),
         )
     return digest
 
 
 def batch_pairs_digest(trace):
     """Digest the batch matcher's pair set the online way."""
+    ids = _digest_ids(trace)
     digest = 0
     for pair in trace.matcher().pairs:
+        send, recv = pair.send, pair.recv
         digest = digest_add(
             digest,
-            (
-                "pair",
-                pair.send.machine,
-                pair.send.pid,
-                pair.send.proc_seq,
-                pair.recv.machine,
-                pair.recv.pid,
-                pair.recv.proc_seq,
-                pair.nbytes,
-            ),
+            (*ids[send.process], send.proc_seq,
+             *ids[recv.process], recv.proc_seq, pair.nbytes),
         )
     return digest
 
 
-def batch_per_process(trace):
-    """CommunicationStatistics per-process counters, keyed and shaped
-    like the engine's (JSON-native)."""
-    from repro.analysis.stats import CommunicationStatistics
-
-    stats = CommunicationStatistics(trace)
+def batch_per_process(stats):
+    """``stats``' (a CommunicationStatistics) per-process counters,
+    keyed and shaped like the engine's (JSON-native)."""
     shaped = {}
     for (machine, pid), pstats in stats.per_process.items():
         as_dict = pstats.as_dict()
@@ -113,12 +113,16 @@ def batch_digest(trace):
     """Every batch-twin answer in the engine's ``digest()`` shape."""
     from repro.analysis.stats import CommunicationStatistics
 
+    # The clock digest first: its dense clocks are garbage before the
+    # statistics are built, so the two are never held together.
+    clock_digest = batch_clock_digest(trace)
+    stats = CommunicationStatistics(trace)
     return {
         "records": len(trace),
-        "clock_digest": batch_clock_digest(trace),
+        "clock_digest": clock_digest,
         "pairs_digest": batch_pairs_digest(trace),
-        "totals": CommunicationStatistics(trace).totals(),
-        "per_process": batch_per_process(trace),
+        "totals": stats.totals(),
+        "per_process": batch_per_process(stats),
     }
 
 

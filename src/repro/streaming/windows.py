@@ -34,11 +34,19 @@ class WindowedStats:
         self.win_events = deque()  # (time, key, kind, length, machine)
         self.win_pairs = deque()  # (stamp, lag_ms, nbytes, pair key)
         self.last_seen = {}  # process key -> last local time
+        self._keys = {}  # (machine, pid) -> its process key
+        self._pair_keys = {}  # (send process, receive process) -> key
+
+    def _key(self, process):
+        key = self._keys.get(process)
+        if key is None:
+            key = self._keys[process] = process_key(*process)
+        return key
 
     # -- fold ----------------------------------------------------------
 
     def update(self, event, watermark):
-        key = process_key(event.machine, event.pid)
+        key = self._key(event.process)
         stats = self.per_process.get(key)
         if stats is None:
             stats = self.per_process[key] = {
@@ -72,10 +80,12 @@ class WindowedStats:
 
     def on_pair(self, send, recv, nbytes, watermark):
         self.matched_pairs += 1
-        pair_key = "{0}->{1}".format(
-            process_key(send.machine, send.pid),
-            process_key(recv.machine, recv.pid),
-        )
+        pair = (send.process, recv.process)
+        pair_key = self._pair_keys.get(pair)
+        if pair_key is None:
+            pair_key = self._pair_keys[pair] = "{0}->{1}".format(
+                self._key(send.process), self._key(recv.process)
+            )
         entry = self.pair_traffic.get(pair_key)
         if entry is None:
             entry = self.pair_traffic[pair_key] = [0, 0]

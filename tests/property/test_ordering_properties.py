@@ -130,3 +130,28 @@ def test_global_order_respects_every_program_and_message_edge(session):
     assert sorted(position.values()) == list(range(len(trace)))
     for pair in hb.matcher.pairs:
         assert position[pair.send.index] < position[pair.recv.index]
+
+
+@given(_random_sessions(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=50, deadline=None)
+def test_ordered_fraction_counts_every_ordered_cross_machine_pair(
+    session, machines
+):
+    """ordered_fraction against the pairwise count it summarizes, with
+    several processes sharing a machine: a cross-machine pair counts
+    when the happens-before DAG has a path between its events."""
+    procs, offsets, exchanges = session
+    procs = [(i % machines + 1, pid) for i, (__, pid) in enumerate(procs)]
+    trace = _build_trace(procs, offsets, exchanges)
+    hb = HappensBefore(trace)
+    events = trace.events
+    ordered = total = 0
+    for a in events:
+        later = nx.descendants(hb.graph, a.index)
+        for b in events:
+            if b.index > a.index and a.machine != b.machine:
+                total += 1
+                ordered += b.index in later or a.index in nx.descendants(
+                    hb.graph, b.index)
+    want = ordered / total if total else 1.0
+    assert hb.ordered_fraction() == want

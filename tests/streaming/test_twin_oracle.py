@@ -10,9 +10,11 @@ from repro.__main__ import main
 from repro.analysis.trace import Trace
 from repro.filtering.records import parse_trace
 from repro.streaming import twins
+from repro.streaming.engine import StreamEngine
 from repro.streaming.twins import diff_digests, replay_engine
 
 from tests.streaming.conftest import build_session, start_mixed_job, stats_digest
+from tests.streaming.reference import walked_state_size
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +45,7 @@ def test_digest_survives_commit_order_permutation(records):
     the digests must not depend on it.  Replaying the per-process
     streams concatenated (a radically different but causally valid
     commit order) must yield the same digests."""
-    by_process = {}
-    for record in records:
-        by_process.setdefault(
-            (record.get("machine"), record.get("pid")), []
-        ).append(record)
-    permuted = [r for stream in by_process.values() for r in stream]
+    permuted = _per_process_order(records)
     assert permuted != records  # genuinely reordered
     a = replay_engine(records).finalize().digest()
     b = replay_engine(permuted).finalize().digest()
@@ -113,3 +110,35 @@ def test_live_digest_equals_both_twins(records):
                 "per_process"):
         assert live[key] == json.loads(json.dumps(online[key])), key
         assert live[key] == json.loads(json.dumps(batch[key])), key
+
+
+def _per_process_order(records):
+    by_process = {}
+    for record in records:
+        by_process.setdefault(
+            (record.get("machine"), record.get("pid")), []
+        ).append(record)
+    return [r for stream in by_process.values() for r in stream]
+
+
+@pytest.mark.parametrize("order", ["committed", "per_process"])
+def test_running_state_count_equals_walked_count(records, order):
+    """The matcher keeps its in-flight count as entries come and go;
+    walking its queues must give the same number after every record,
+    and so the same ``peak_state``."""
+    stream = records if order == "committed" else _per_process_order(records)
+    engine = StreamEngine()
+    walked_peak = 0
+    for n, record in enumerate(stream, 1):
+        engine.update(record)
+        walked = walked_state_size(engine.matcher)
+        assert engine.matcher.state_size() == walked, n
+        if n % 256 == 0:
+            walked_peak = max(walked_peak, engine.state_size())
+    engine.finalize()
+    assert engine.matcher.state_size() == walked_state_size(engine.matcher)
+    walked_peak = max(walked_peak, engine.state_size())
+    assert engine.peak_state == walked_peak
+    assert engine.snapshot()["state"]["outstanding_sends"] == len(
+        engine.matcher.pending_send_events()
+    )
